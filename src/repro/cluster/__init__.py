@@ -32,6 +32,7 @@ from repro.cluster.coordinator import (
     CoordinatorServer,
     NodeSpec,
     RetryPolicy,
+    handle_cluster_line,
     handle_cluster_request,
 )
 from repro.cluster.errors import (
@@ -77,6 +78,7 @@ __all__ = [
     "corrupt",
     "delay",
     "fail",
+    "handle_cluster_line",
     "handle_cluster_request",
     "load_replica",
     "replica_artifacts",

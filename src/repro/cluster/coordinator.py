@@ -32,10 +32,15 @@ all prediction state; the coordinator owns only *placement*:
   :meth:`~repro.serving.service.PredictionService.republish`).
 
 Node-to-node wire: the same protocols clients already speak.  JSON per
-line (the default) reuses the management ops verbatim; ``node_wire=
-"binary"`` upgrades fingerprint-pinned predict traffic to the negotiated
-length-prefixed binary framing for bulk throughput, falling back to JSON
-for management and name-addressed requests.
+line (the default) reuses the management ops verbatim and **relays
+predict traffic as bytes**: the client's request line goes to the node
+as received (with the resolved ``fingerprint`` spliced in once the
+coordinator has learned it), and the node's reply line comes back to
+the client verbatim — parsed once for failover classification, never
+re-encoded.  ``node_wire="binary"`` upgrades fingerprint-pinned predict
+traffic to the negotiated length-prefixed binary framing for bulk
+throughput, falling back to JSON for management and name-addressed
+requests.
 
 Fault injection: the coordinator calls the documented
 :mod:`~repro.cluster.failpoints` sites (``node.connect``,
@@ -121,12 +126,12 @@ class _NodeConnection:
         self._socket = socket.create_connection(
             (spec.host, spec.port), timeout=timeout_s
         )
+        self._socket.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._reader = self._socket.makefile("rb")
 
-    def request(self, payload: Dict[str, object]) -> Dict[str, object]:
-        """One request/response exchange; transport faults raise."""
+    def exchange(self, raw: bytes) -> bytes:
+        """Send one request line, return the reply line; transport faults raise."""
         self._failpoints.fire(("node.request", self.spec.node_id))
-        raw = (json.dumps(payload) + "\n").encode("utf-8")
         sent = self._failpoints.transform(("node.send", self.spec.node_id), raw)
         self._socket.sendall(sent)
         if not sent.endswith(b"\n"):
@@ -143,7 +148,7 @@ class _NodeConnection:
             raise ConnectionError(
                 f"node {self.spec.node_id!r} closed the connection"
             )
-        return json.loads(line)
+        return line
 
     def close(self) -> None:
         try:
@@ -257,10 +262,17 @@ class ClusterCoordinator:
     def _request_node(
         self, node_id: str, payload: Dict[str, object]
     ) -> Dict[str, object]:
-        """One request against one node, inside its retry budget.
+        """One management request against one node (see :meth:`_exchange`)."""
+        return self._exchange(node_id, _encode_line(payload))[1]
 
-        Transport failures (refused connect, timeout, dead link, garbage
-        on the wire) burn attempts; after the budget the node enters its
+    def _exchange(
+        self, node_id: str, raw: bytes
+    ) -> Tuple[bytes, Dict[str, object]]:
+        """One request line against one node, inside its retry budget.
+
+        Returns the node's reply line and its decoding.  Transport
+        failures (refused connect, timeout, dead link, garbage on the
+        wire) burn attempts; after the budget the node enters its
         cooldown window and :class:`NodeUnavailableError` tells the
         caller to fail over.  A decoded response — even an error
         envelope — returns as-is: protocol-level refusals are the
@@ -278,7 +290,8 @@ class ClusterCoordinator:
                 last_error = error
                 continue
             try:
-                response = conn.request(payload)
+                line = conn.exchange(raw)
+                response = json.loads(line)
             except (OSError, ConnectionError, ValueError) as error:
                 # ValueError covers JSON garbage: the stream is not
                 # trustworthy, drop the connection with the attempt.
@@ -286,7 +299,7 @@ class ClusterCoordinator:
                 conn.close()
                 continue
             self._checkin(node_id, conn)
-            return response
+            return line, response
         self._mark_down(node_id)
         self.stats.record_node_failure(node_id)
         raise NodeUnavailableError(node_id, policy.attempts, last_error)
@@ -357,6 +370,40 @@ class ClusterCoordinator:
         node failed or refused; client errors (malformed blocks, unknown
         machine name) come back as the node's own error envelope.
         """
+        request: Dict[str, object] = {"id": request_id, "blocks": blocks}
+        if machine is not None:
+            request["machine"] = machine
+        if fingerprint is not None:
+            request["fingerprint"] = fingerprint
+        return self._route(request, _encode_line(request))[1]
+
+    def relay_predict(self, request: Dict[str, object], line: bytes) -> bytes:
+        """Route a client's predict line; returns the reply line to send back.
+
+        ``line`` is one newline-terminated JSON object and ``request`` its
+        decoding.  On the JSON node wire the line itself is forwarded and
+        the chosen node's reply line is returned as received, so neither
+        direction is re-encoded.
+        """
+        raw, response = self._route(request, line)
+        return raw if raw is not None else _encode_line(response)
+
+    def _route(
+        self, request: Dict[str, object], line: bytes
+    ) -> Tuple[Optional[bytes], Dict[str, object]]:
+        """Fail over across a request's candidates: ``(reply line, reply)``.
+
+        The reply line is ``None`` when the answer came over the binary
+        node wire (there is no node line to relay).
+        """
+        blocks = request.get("blocks")
+        if not isinstance(blocks, list):
+            raise InvalidRequestError(
+                "request needs a non-empty 'blocks' list of "
+                "{mnemonic: multiplicity} objects"
+            )
+        machine = request.get("machine")
+        fingerprint = request.get("fingerprint")
         if fingerprint is None and machine is None:
             raise InvalidRequestError(
                 "a routed predict request needs 'fingerprint' or 'machine'"
@@ -364,15 +411,13 @@ class ClusterCoordinator:
         if fingerprint is None:
             with self._lock:
                 fingerprint = self._resolved.get(str(machine))
-        payload: Dict[str, object] = {"id": request_id, "blocks": blocks}
-        if fingerprint is not None:
-            payload["fingerprint"] = str(fingerprint)
-        else:
-            payload["machine"] = str(machine)
+            if fingerprint is not None and "fingerprint" not in request:
+                line = _splice_fingerprint(line, fingerprint)
         # Name-addressed requests route by the name until a response
         # teaches us the fingerprint; every node resolves names against
         # the same replica, so the answer is identical either way.
         routing_key = str(fingerprint) if fingerprint is not None else str(machine)
+        request_id = request.get("id")
 
         self.stats.record_routed()
         candidates = self._candidates(routing_key)
@@ -383,11 +428,12 @@ class ClusterCoordinator:
             self.stats.record_forward(node_id)
             try:
                 if self.node_wire == "binary" and fingerprint is not None:
+                    raw = None
                     response = self._predict_binary(
                         node_id, str(fingerprint), blocks, request_id
                     )
                 else:
-                    response = self._request_node(node_id, payload)
+                    raw, response = self._exchange(node_id, line)
             except NodeUnavailableError as error:
                 last_error = error
                 continue
@@ -399,11 +445,11 @@ class ClusterCoordinator:
                         self._resolved[str(machine)] = str(
                             response["fingerprint"]
                         )
-                return response
+                return raw, response
             error_info = response.get("error") or {}
             if error_info.get("type") in _CLIENT_ERROR_TYPES:
                 # No replica would answer differently; pass it through.
-                return response
+                return raw, response
             # Anything else — overload, a stale or corrupted replica
             # (registry refusals), a closing node — is this node's
             # problem, not the request's: fail over.
@@ -662,27 +708,50 @@ def handle_cluster_request(
             f"unknown op {op!r} (known: predict, hello, ping, stats, "
             f"health, republish, shutdown)"
         )
-    blocks = request.get("blocks")
-    if not isinstance(blocks, list):
-        raise InvalidRequestError(
-            "request needs a non-empty 'blocks' list of "
-            "{mnemonic: multiplicity} objects"
-        )
-    machine = request.get("machine")
-    fingerprint = request.get("fingerprint")
     return (
         coordinator.predict_blocks(
-            blocks,
-            machine=None if machine is None else str(machine),
-            fingerprint=None if fingerprint is None else str(fingerprint),
+            request.get("blocks"),
+            machine=request.get("machine"),
+            fingerprint=request.get("fingerprint"),
             request_id=request_id,
         ),
         False,
     )
 
 
+def handle_cluster_line(
+    coordinator: ClusterCoordinator, line: str
+) -> Tuple[bytes, bool]:
+    """Answer one stripped request line; returns (reply line, shutdown).
+
+    Predict lines are relayed as bytes
+    (:meth:`ClusterCoordinator.relay_predict`); every other op goes
+    through :func:`handle_cluster_request`.  Failures become typed error
+    envelopes.
+    """
+    request_id = None
+    try:
+        request = json.loads(line)
+        if isinstance(request, dict):
+            request_id = request.get("id")
+            if request.get("op", "predict") == "predict":
+                raw = (line + "\n").encode("utf-8")
+                return coordinator.relay_predict(request, raw), False
+        response, shutdown = handle_cluster_request(coordinator, request)
+    except Exception as error:  # noqa: BLE001 - typed on the wire
+        response = {
+            "id": request_id,
+            "ok": False,
+            "error": {"type": type(error).__name__, "message": str(error)},
+        }
+        shutdown = False
+    return _encode_line(response), shutdown
+
+
 class _CoordinatorHandler(socketserver.StreamRequestHandler):
     """One client connection: JSON lines in, routed responses out."""
+
+    disable_nagle_algorithm = True
 
     def handle(self) -> None:
         try:
@@ -696,25 +765,8 @@ class _CoordinatorHandler(socketserver.StreamRequestHandler):
             line = raw.decode("utf-8", errors="replace").strip()
             if not line:
                 continue
-            request_id = None
-            shutdown = False
-            try:
-                request = json.loads(line)
-                if isinstance(request, dict):
-                    request_id = request.get("id")
-                response, shutdown = handle_cluster_request(
-                    server.coordinator, request
-                )
-            except Exception as error:  # noqa: BLE001 - typed on the wire
-                response = {
-                    "id": request_id,
-                    "ok": False,
-                    "error": {
-                        "type": type(error).__name__,
-                        "message": str(error),
-                    },
-                }
-            self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
+            reply, shutdown = handle_cluster_line(server.coordinator, line)
+            self.wfile.write(reply)
             self.wfile.flush()
             if shutdown:
                 threading.Thread(target=server.shutdown, daemon=True).start()
@@ -740,6 +792,21 @@ class CoordinatorServer(socketserver.ThreadingTCPServer):
     def address(self) -> Tuple[str, int]:
         """The bound (host, port) — concrete even when 0 was asked."""
         return self.server_address[0], self.server_address[1]
+
+
+def _encode_line(message: Dict[str, object]) -> bytes:
+    return (json.dumps(message) + "\n").encode("utf-8")
+
+
+def _splice_fingerprint(line: bytes, fingerprint: str) -> bytes:
+    """Pin a request line to a fingerprint without re-encoding it.
+
+    ``line`` is a JSON object, starting at its opening brace, with no
+    ``fingerprint`` key and at least one other key (``blocks``), so the
+    new key goes right after the brace.
+    """
+    head = b'{"fingerprint": ' + json.dumps(fingerprint).encode("utf-8") + b", "
+    return head + line[1:]
 
 
 def _embedded_error_type(error: BaseException) -> str:

@@ -15,7 +15,11 @@ state allocation-free:
 * :class:`KernelLoweringCache` — kernel → :class:`~repro.predictors.batch.
   KernelLowering`.  Lowering is the only per-request Python work
   proportional to kernel size, and serving traffic is dominated by hot
-  blocks, so caching it makes repeated requests O(1).
+  blocks, so caching it makes repeated requests O(1).  In-process
+  callers key it by :class:`~repro.mapping.microkernel.Microkernel`; the
+  JSON frontend keys it by the *wire block* itself (see
+  :meth:`CompiledMapping.wire_key`), so a hot block is served without
+  ever building a kernel object.
 
 Both caches are thread-safe (a single lock each; lookups are dict
 operations) and report hits/misses/evictions into the shared
@@ -24,9 +28,10 @@ operations) and report hits/misses/evictions into the shared
 
 from __future__ import annotations
 
+import itertools
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,6 +40,14 @@ from repro.isa.instruction import Instruction
 from repro.mapping.microkernel import Microkernel
 from repro.predictors.batch import KernelLowering, MappingMatrix, instruction_id
 from repro.serving.stats import ServingStats
+
+
+#: JSON number types a wire key may carry (``bool`` is an ``int`` to the
+#: request parser, so it is one here too).
+_WIRE_VALUE_TYPES = frozenset((float, int, bool))
+#: ``map``'s default argument for :meth:`CompiledMapping.wire_key`: every
+#: name missing from the table reads as the unknown id ``-1``.
+_UNKNOWN_IDS = itertools.repeat(-1)
 
 
 class CompiledMapping:
@@ -53,6 +66,8 @@ class CompiledMapping:
         "instruction_by_name",
         "version",
         "source_stamp",
+        "wire_ids",
+        "wire_scope",
         "_dense",
     )
 
@@ -79,7 +94,43 @@ class CompiledMapping:
         #: from, or ``None`` when unknown.  The cheap change detector
         #: :meth:`HotMappingCache.refresh` compares against.
         self.source_stamp = source_stamp
+        #: Name -> dense instruction id (the index in sorted-name order,
+        #: the same ids the binary wire uses); :meth:`wire_key` spells
+        #: request blocks with these shared ints instead of name strings.
+        self.wire_ids: Dict[str, int] = {
+            name: index
+            for index, name in enumerate(sorted(self.instruction_by_name))
+        }
+        #: Scopes every wire key to this compiled version: dense ids mean
+        #: nothing across mappings, so a republish can never hit a
+        #: lowering resolved against the previous instruction table.
+        self.wire_scope: Tuple[str, float] = (self.fingerprint, self.version)
         self._dense: Optional[Tuple[List[str], np.ndarray]] = None
+
+    def wire_key(self, block: object) -> Optional[tuple]:
+        """The lowering-cache key of one JSON request block, or ``None``.
+
+        The key is ``(wire_scope, dense ids, values)`` in the block's
+        arrival order — exactly what :func:`~repro.serving.frontend.
+        _parse_blocks` folds into a kernel (unknown names all fold onto
+        one placeholder, spelled ``-1`` here), so equal keys always lower
+        to the same bits.  Only a block the parser accepted is ever
+        inserted, so a key equal to a cached one names a valid block.
+        ``None`` — the block is not a non-empty object of JSON numbers
+        under non-empty string names — sends the request down the
+        validating parser instead.
+        """
+        if type(block) is not dict or not block:
+            return None
+        values = tuple(block.values())
+        if not _WIRE_VALUE_TYPES.issuperset(map(type, values)):
+            return None
+        ids = tuple(map(self.wire_ids.get, block, _UNKNOWN_IDS))
+        if -1 in ids:
+            for name, dense in zip(block, ids):
+                if dense == -1 and (type(name) is not str or not name):
+                    return None
+        return (self.wire_scope, ids, values)
 
     def dense_instruction_table(self) -> Tuple[List[str], np.ndarray]:
         """The binary wire format's instruction table, built lazily.
@@ -223,7 +274,13 @@ class HotMappingCache:
 
 
 class KernelLoweringCache:
-    """Bounded LRU of per-kernel lowerings (the hot-block fast path)."""
+    """Bounded LRU of per-kernel lowerings (the hot-block fast path).
+
+    One LRU serves every key kind: a :class:`Microkernel` from in-process
+    callers, or a :meth:`CompiledMapping.wire_key` from the JSON
+    frontend.  The two never compare equal, so they share the capacity
+    and the hit/miss/eviction counters without interfering.
+    """
 
     def __init__(
         self, capacity: int = 65536, stats: Optional[ServingStats] = None
@@ -233,50 +290,56 @@ class KernelLoweringCache:
         self.capacity = capacity
         self.stats = stats or ServingStats()
         self._lock = threading.Lock()
-        self._lowerings: "OrderedDict[Microkernel, KernelLowering]" = OrderedDict()
+        self._lowerings: "OrderedDict[Hashable, KernelLowering]" = OrderedDict()
 
     def get(self, kernel: Microkernel) -> KernelLowering:
-        with self._lock:
-            lowering = self._lowerings.get(kernel)
-            if lowering is not None:
-                self._lowerings.move_to_end(kernel)
-                self.stats.record_lowering_cache(hit=True)
-                return lowering
-            lowering = KernelLowering(kernel)
-            self._lowerings[kernel] = lowering
-            evicted = 0
-            while len(self._lowerings) > self.capacity:
-                self._lowerings.popitem(last=False)
-                evicted += 1
-            self.stats.record_lowering_cache(hit=False, evicted=evicted)
-            return lowering
+        return self.get_many((kernel,))[0]
 
     def get_many(self, kernels: Sequence[Microkernel]) -> List[KernelLowering]:
-        """Lowerings for a whole group under one lock acquisition.
+        """Lowerings for a group of kernels, each kernel its own key."""
+        return self.lower_many(kernels, kernels.__getitem__)
 
-        The multi-kernel submission path used to pay one lock round-trip
-        and one stats record per kernel; at serving rates that lock churn
-        was a measurable slice of the flush budget.  One acquisition per
-        group restores O(1) synchronization per request.
+    def lower_many(
+        self,
+        keys: Sequence[Hashable],
+        kernel_at: Callable[[int], Microkernel],
+    ) -> List[KernelLowering]:
+        """Lowerings for a whole group; ``kernel_at(i)`` builds a miss.
+
+        A hit costs one dict lookup.  Only a miss calls ``kernel_at`` with
+        the key's index and lowers the kernel it returns — outside the
+        lock, so an exception it raises (a refused request block) leaves
+        the cache and its counters untouched.  One lock acquisition
+        covers an all-hit group, two a group with misses: O(1)
+        synchronization per request, not per kernel.
         """
-        lowerings: List[KernelLowering] = []
-        hits = misses = evicted = 0
+        lowerings: list = []
+        missing: List[int] = []
         with self._lock:
             cached = self._lowerings
-            for kernel in kernels:
-                lowering = cached.get(kernel)
-                if lowering is not None:
-                    cached.move_to_end(kernel)
-                    hits += 1
+            for index, key in enumerate(keys):
+                lowering = cached.get(key)
+                if lowering is None:
+                    missing.append(index)
                 else:
-                    lowering = KernelLowering(kernel)
-                    cached[kernel] = lowering
-                    misses += 1
-                    while len(cached) > self.capacity:
-                        cached.popitem(last=False)
-                        evicted += 1
+                    cached.move_to_end(key)
                 lowerings.append(lowering)
-            self.stats.record_lowering_cache_many(hits, misses, evicted)
+            if not missing:
+                self.stats.record_lowering_cache_many(len(lowerings), 0)
+                return lowerings
+        for index in missing:
+            lowerings[index] = KernelLowering(kernel_at(index))
+        evicted = 0
+        with self._lock:
+            cached = self._lowerings
+            for index in missing:
+                cached[keys[index]] = lowerings[index]
+            while len(cached) > self.capacity:
+                cached.popitem(last=False)
+                evicted += 1
+            self.stats.record_lowering_cache_many(
+                len(lowerings) - len(missing), len(missing), evicted
+            )
         return lowerings
 
     def __len__(self) -> int:

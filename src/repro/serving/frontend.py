@@ -79,6 +79,7 @@ import socket
 import socketserver
 import struct
 import threading
+from concurrent.futures import Future
 from typing import Dict, List, Optional, TextIO, Tuple
 
 import numpy as np
@@ -124,31 +125,61 @@ def _parse_blocks(compiled, payload: object) -> List[Microkernel]:
             "{mnemonic: multiplicity} objects"
         )
     table = compiled.instruction_by_name
-    kernels: List[Microkernel] = []
-    for index, block in enumerate(payload):
-        if not isinstance(block, dict) or not block:
+    return [
+        _parse_block(table, index, block) for index, block in enumerate(payload)
+    ]
+
+
+def _parse_block(
+    table: Dict[str, Instruction], index: int, block: object
+) -> Microkernel:
+    """Request block ``index`` -> its kernel (typed refusal if malformed)."""
+    if not isinstance(block, dict) or not block:
+        raise InvalidRequestError(
+            f"block {index} must be a non-empty "
+            f"{{mnemonic: multiplicity}} object"
+        )
+    counts: Dict[Instruction, float] = {}
+    for name, value in block.items():
+        if not isinstance(name, str) or not name:
             raise InvalidRequestError(
-                f"block {index} must be a non-empty "
-                f"{{mnemonic: multiplicity}} object"
+                f"block {index} has a non-string mnemonic key"
             )
-        counts: Dict[Instruction, float] = {}
-        for name, value in block.items():
-            if not isinstance(name, str) or not name:
-                raise InvalidRequestError(
-                    f"block {index} has a non-string mnemonic key"
-                )
-            if not isinstance(value, (int, float)) or value <= 0:
-                raise InvalidRequestError(
-                    f"block {index}, {name!r}: multiplicity must be a "
-                    f"positive number, got {value!r}"
-                )
-            # A mnemonic this mapping has never seen is simply unsupported;
-            # its weight is all that matters (Microkernel sums duplicate
-            # keys), so every unknown name folds onto one placeholder.
-            instruction = table.get(name, _UNKNOWN_INSTRUCTION)
-            counts[instruction] = counts.get(instruction, 0.0) + float(value)
-        kernels.append(Microkernel(counts))
-    return kernels
+        if not isinstance(value, (int, float)) or value <= 0:
+            raise InvalidRequestError(
+                f"block {index}, {name!r}: multiplicity must be a "
+                f"positive number, got {value!r}"
+            )
+        # A mnemonic this mapping has never seen is simply unsupported;
+        # its weight is all that matters (Microkernel sums duplicate
+        # keys), so every unknown name folds onto one placeholder.
+        instruction = table.get(name, _UNKNOWN_INSTRUCTION)
+        counts[instruction] = counts.get(instruction, 0.0) + float(value)
+    return Microkernel(counts)
+
+
+def _submit_blocks(
+    service: PredictionService, fingerprint: str, compiled, payload: object
+) -> Future:
+    """Submit a request's blocks, lowering only the ones not cached.
+
+    Each block is looked up by its wire key
+    (:meth:`~repro.serving.cache.CompiledMapping.wire_key`); a hit goes
+    straight to its cached lowering, and only a miss is parsed into a
+    kernel by :func:`_parse_block`.  A payload with any block that has no
+    wire key goes through :func:`_parse_blocks` whole, which refuses it
+    with the same typed error as before.
+    """
+    if isinstance(payload, list) and payload:
+        keys = [compiled.wire_key(block) for block in payload]
+        if None not in keys:
+            table = compiled.instruction_by_name
+            return service.submit_keyed(
+                fingerprint,
+                keys,
+                lambda index: _parse_block(table, index, payload[index]),
+            )
+    return service.submit_many(fingerprint, _parse_blocks(compiled, payload))
 
 
 def _prediction_dict(prediction: Prediction) -> Dict[str, object]:
@@ -209,9 +240,10 @@ def handle_request(
         fingerprint = service.resolve(str(machine))
     # One hot-mapping-cache lookup per request; reused for mnemonic
     # resolution and the response envelope.
-    compiled = service.compiled(str(fingerprint))
-    kernels = _parse_blocks(compiled, request.get("blocks"))
-    predictions = service.predict_many(str(fingerprint), kernels)
+    fingerprint = str(fingerprint)
+    compiled = service.compiled(fingerprint)
+    blocks = request.get("blocks")
+    predictions = _submit_blocks(service, fingerprint, compiled, blocks).result()
     return (
         {
             "id": request.get("id"),
@@ -418,6 +450,8 @@ class _LineHandler(socketserver.StreamRequestHandler):
     whose admission capacity the batcher releases.
     """
 
+    disable_nagle_algorithm = True
+
     def handle(self) -> None:
         try:
             self._serve()
@@ -555,6 +589,7 @@ class ServingClient:
 
     def __init__(self, host: str, port: int, timeout: float = 30.0) -> None:
         self._socket = socket.create_connection((host, port), timeout=timeout)
+        self._socket.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._reader = self._socket.makefile("r", encoding="utf-8")
 
     def request(self, payload: Dict[str, object]) -> Dict[str, object]:

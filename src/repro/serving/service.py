@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from concurrent.futures import Future
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import Callable, Hashable, List, Optional, Sequence, Union
 
 from repro.artifacts import ArtifactRegistry
 from repro.isa.instruction import Instruction
@@ -160,6 +160,22 @@ class PredictionService:
         """
         lane = self.router.lane_for(fingerprint)
         return lane.submit_many(self._lowerings.get_many(kernels))
+
+    def submit_keyed(
+        self,
+        fingerprint: str,
+        keys: Sequence[Hashable],
+        kernel_at: Callable[[int], Microkernel],
+    ) -> Future:
+        """Enqueue a group addressed by lowering-cache keys; resolves to a list.
+
+        The JSON frontend's path: a key that hits the lowering cache is
+        served from it directly, and ``kernel_at(i)`` builds the kernel
+        only for a key that misses.  Same admission, batching and bitwise
+        guarantees as :meth:`submit_many`.
+        """
+        lowerings = self._lowerings.lower_many(keys, kernel_at)
+        return self.router.lane_for(fingerprint).submit_many(lowerings)
 
     def submit_lowered(self, fingerprint: str, batch: "LoweredBatch") -> Future:
         """Enqueue a pre-flattened batch as one group; resolves to a list.

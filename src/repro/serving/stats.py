@@ -142,19 +142,11 @@ class ServingStats:
                 self.mapping_cache_misses += 1
             self.mapping_cache_evictions += evicted
 
-    def record_lowering_cache(self, hit: bool, evicted: int = 0) -> None:
-        with self._lock:
-            if hit:
-                self.lowering_cache_hits += 1
-            else:
-                self.lowering_cache_misses += 1
-            self.lowering_cache_evictions += evicted
-
     def record_lowering_cache_many(
         self, hits: int, misses: int, evicted: int = 0
     ) -> None:
-        """Batched form of :meth:`record_lowering_cache`: one lock for a
-        whole multi-kernel submission instead of one per kernel."""
+        """Lowering-cache outcomes of a whole multi-kernel submission,
+        recorded under one lock instead of one per kernel."""
         with self._lock:
             self.lowering_cache_hits += hits
             self.lowering_cache_misses += misses

@@ -32,10 +32,12 @@ from repro.artifacts import (
 from repro.measure.fingerprint import machine_fingerprint
 from repro.palmed.result import PalmedStats
 from repro.predictors import MappingMatrix, PalmedPredictor
+from repro.predictors.base import Prediction
 from repro.predictors.batch import LoweredBatchBuilder, instruction_id
 from repro.runtime import WorkerLane
 from repro.serving import (
     HotMappingCache,
+    InvalidRequestError,
     LineProtocolServer,
     MicroBatcher,
     PredictionService,
@@ -789,6 +791,261 @@ class TestStdioFrontend:
                 ],
             )
             assert interned_instruction_count() == before
+
+
+class TestWireKeyedLoweringCache:
+    """The JSON path looks lowerings up by wire block, not by kernel."""
+
+    @staticmethod
+    def _predict(service, machine, blocks):
+        from repro.serving.frontend import handle_request
+
+        response, _ = handle_request(
+            service, {"id": 0, "machine": machine, "blocks": blocks}
+        )
+        return [
+            Prediction(p["ipc"], p["supported_fraction"])
+            for p in response["predictions"]
+        ]
+
+    @staticmethod
+    def _counters(service):
+        snap = service.snapshot()
+        return (
+            snap["lowering_cache_hits"],
+            snap["lowering_cache_misses"],
+            snap["lowering_cache_evictions"],
+        )
+
+    def test_hits_are_bitwise_equal_to_the_offline_predictor(
+        self, serving_registry, small_skl_machine, reference_predictors
+    ):
+        reference = reference_predictors[machine_fingerprint(small_skl_machine)]
+        kernels = random_kernels(
+            small_skl_machine.benchmarkable_instructions(), 12, seed=21
+        )
+        blocks = [{ins.name: count for ins, count in k.items()} for k in kernels]
+        with PredictionService(serving_registry) as service:
+            cold = self._predict(service, small_skl_machine.name, blocks)
+            assert self._counters(service)[:2] == (0, len(blocks))
+            warm = self._predict(service, small_skl_machine.name, blocks)
+            assert self._counters(service)[:2] == (len(blocks), len(blocks))
+        for kernel, first, second in zip(kernels, cold, warm):
+            expected = reference.predict(kernel)
+            assert_same_prediction(first, expected)
+            assert_same_prediction(second, expected)
+
+    def test_two_key_orders_of_one_block_both_answer_correctly(
+        self, serving_registry, small_skl_machine, reference_predictors
+    ):
+        reference = reference_predictors[machine_fingerprint(small_skl_machine)]
+        (kernel,) = random_kernels(
+            small_skl_machine.benchmarkable_instructions(), 1, seed=5,
+            max_distinct=12,
+        )
+        forward = {ins.name: count for ins, count in kernel.items()}
+        backward = dict(reversed(list(forward.items())))
+        assert list(forward) != list(backward)
+        expected = reference.predict(kernel)
+        with PredictionService(serving_registry) as service:
+            for _ in range(2):
+                got = self._predict(
+                    service, small_skl_machine.name, [forward, backward]
+                )
+                for prediction in got:
+                    assert_same_prediction(prediction, expected)
+            # Arrival order is part of the key: two entries, then two hits.
+            assert self._counters(service)[:2] == (2, 2)
+
+    def test_unknown_mnemonics_fold_onto_the_placeholder(
+        self, serving_registry, toy_machine
+    ):
+        from repro.serving.frontend import _UNKNOWN_INSTRUCTION
+
+        known = toy_machine.benchmarkable_instructions()[0]
+        predictor = PalmedPredictor(toy_machine.true_conjunctive(True))
+        expected = predictor.predict(
+            Microkernel({known: 2.0, _UNKNOWN_INSTRUCTION: 4.0})
+        )
+        with PredictionService(serving_registry) as service:
+            answers = [
+                self._predict(
+                    service,
+                    toy_machine.name,
+                    [{f"{prefix}_A": 1.0, known.name: 2.0, f"{prefix}_B": 3.0}],
+                )[0]
+                for prefix in ("UNKNOWN", "UNKNOWN", "OTHER")
+            ]
+            # Unknown names share one id, so the renamed block hits too.
+            assert self._counters(service)[:2] == (2, 1)
+        for answer in answers:
+            assert_same_prediction(answer, expected)
+        assert 0.0 < answers[0].supported_fraction < 1.0
+
+    @pytest.mark.parametrize(
+        "bad_block",
+        [
+            {"": 1.0},
+            {"KNOWN": 0},
+            {"KNOWN": -1.0},
+            {"KNOWN": "1.0"},
+            {"KNOWN": None},
+            {"KNOWN": [1.0]},
+            {1: 1.0},
+            {},
+            ["KNOWN"],
+        ],
+    )
+    def test_invalid_block_refused_after_a_valid_one_was_cached(
+        self, serving_registry, toy_machine, bad_block
+    ):
+        from repro.serving.frontend import _parse_blocks, handle_request
+
+        name = toy_machine.benchmarkable_instructions()[0].name
+        if isinstance(bad_block, dict):
+            bad_block = {
+                (name if key == "KNOWN" else key): value
+                for key, value in bad_block.items()
+            }
+        with PredictionService(serving_registry) as service:
+            fingerprint = service.resolve(toy_machine.name)
+            valid = [{name: 1.0}, {"SOME_UNKNOWN": 1.0}]
+            self._predict(service, toy_machine.name, valid)
+            before = self._counters(service)
+            payload = valid + [bad_block]
+            with pytest.raises(InvalidRequestError) as expected:
+                _parse_blocks(service.compiled(fingerprint), payload)
+            with pytest.raises(InvalidRequestError) as refused:
+                handle_request(
+                    service, {"machine": toy_machine.name, "blocks": payload}
+                )
+            # The same typed message as the parser, and nothing counted.
+            assert str(refused.value) == str(expected.value)
+            assert self._counters(service) == before
+
+    def test_republish_never_serves_a_lowering_of_the_old_version(
+        self, tmp_path, toy_machine
+    ):
+        full = make_artifact(toy_machine)
+        names = sorted(ins.name for ins in full.mapping.instructions)
+        by_name = {ins.name: ins for ins in full.mapping.instructions}
+        predictor = PalmedPredictor(full.mapping)
+        # v1 lacks the first name, so every v1 dense id is one lower than
+        # v2's: v1's block {names[1]} and v2's block {names[0]} share the
+        # dense id 0.  Pick a pair the mapping tells apart.
+        first, second = next(
+            (a, b)
+            for a, b in zip(names, names[1:])
+            if predictor.predict(Microkernel({by_name[a]: 1.0}))
+            != predictor.predict(Microkernel({by_name[b]: 1.0}))
+        )
+        dropped = names[: names.index(first) + 1]
+        kept = [ins for ins in full.mapping.instructions if ins.name not in dropped]
+        v1 = MappingArtifact(
+            machine_name=full.machine_name,
+            machine_fingerprint=full.machine_fingerprint,
+            mapping=full.mapping.restricted(kept),
+            stats=full.stats,
+        )
+        time.sleep(0.01)
+        v2 = MappingArtifact(
+            machine_name=full.machine_name,
+            machine_fingerprint=full.machine_fingerprint,
+            mapping=full.mapping,
+            stats=full.stats,
+        )
+        root = tmp_path / "registry"
+        ArtifactRegistry(root).save(v1)
+        with PredictionService(root) as service:
+            fingerprint = service.resolve(toy_machine.name)
+            old = service.compiled(fingerprint)
+            assert old.wire_ids[second] == 0
+            self._predict(service, toy_machine.name, [{second: 1.0}])
+            ArtifactRegistry(root).save(v2)
+            assert fingerprint in service.republish()["swapped"]
+            new = service.compiled(fingerprint)
+            assert new.wire_ids[first] == old.wire_ids[second]
+            (got,) = self._predict(service, toy_machine.name, [{first: 1.0}])
+            assert self._counters(service)[:2] == (0, 2)
+        assert_same_prediction(
+            got, predictor.predict(Microkernel({by_name[first]: 1.0}))
+        )
+
+    def test_concurrent_lookups_stay_bitwise_and_balanced(
+        self, serving_registry, small_skl_machine, reference_predictors
+    ):
+        """Threads racing on one small LRU: no wrong answer, no lost count."""
+        import sys
+
+        reference = reference_predictors[machine_fingerprint(small_skl_machine)]
+        kernels = random_kernels(
+            small_skl_machine.benchmarkable_instructions(), 24, seed=8
+        )
+        blocks = [{ins.name: count for ins, count in k.items()} for k in kernels]
+        expected = [reference.predict(kernel) for kernel in kernels]
+        workers, messages, group = 6, 40, 3
+        errors = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with PredictionService(
+                serving_registry, lowering_cache_capacity=8
+            ) as service:
+
+                def client(seed):
+                    rng = random.Random(seed)
+                    try:
+                        for _ in range(messages):
+                            picks = [rng.randrange(len(blocks)) for _ in range(group)]
+                            got = self._predict(
+                                service,
+                                small_skl_machine.name,
+                                [blocks[i] for i in picks],
+                            )
+                            for i, prediction in zip(picks, got):
+                                assert_same_prediction(prediction, expected[i])
+                    except Exception as error:  # noqa: BLE001 - reported below
+                        errors.append(error)
+
+                threads = [
+                    threading.Thread(target=client, args=(seed,))
+                    for seed in range(workers)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                assert not any(thread.is_alive() for thread in threads)
+                hits, misses, evictions = self._counters(service)
+                resident = len(service._lowerings)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        assert hits + misses == workers * messages * group
+        # Two threads may both miss one key; the second insert replaces
+        # the first, so residency can trail misses minus evictions.
+        assert misses - evictions >= resident
+        assert resident <= 8
+
+    def test_counters_add_up_under_eviction(self, serving_registry, toy_machine):
+        kernels = random_kernels(toy_machine.benchmarkable_instructions(), 16, 3)
+        blocks = [{ins.name: count for ins, count in k.items()} for k in kernels]
+        rng = random.Random(4)
+        with PredictionService(
+            serving_registry, lowering_cache_capacity=5
+        ) as service:
+            submitted = 0
+            for _ in range(30):
+                message = rng.sample(blocks, 3)
+                self._predict(service, toy_machine.name, message)
+                submitted += len(message)
+            with pytest.raises(InvalidRequestError):
+                self._predict(service, toy_machine.name, [blocks[0], {"": 1.0}])
+            hits, misses, evictions = self._counters(service)
+            resident = len(service._lowerings)
+        assert hits + misses == submitted
+        assert misses - evictions == resident == 5
+        assert hits > 0 and evictions > 0
 
 
 class TestTcpFrontend:
