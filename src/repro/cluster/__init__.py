@@ -33,7 +33,6 @@ from repro.cluster.coordinator import (
     NodeSpec,
     RetryPolicy,
     handle_cluster_line,
-    handle_cluster_request,
 )
 from repro.cluster.errors import (
     ClusterError,
@@ -79,7 +78,6 @@ __all__ = [
     "delay",
     "fail",
     "handle_cluster_line",
-    "handle_cluster_request",
     "load_replica",
     "replica_artifacts",
     "replicate_registry",

@@ -645,23 +645,20 @@ class ClusterCoordinator:
         return outcome
 
 
-def handle_cluster_request(
-    coordinator: ClusterCoordinator, request: object
+def _answer_fleet_op(
+    coordinator: ClusterCoordinator, request: Dict[str, object]
 ) -> Tuple[Dict[str, object], bool]:
-    """Answer one decoded coordinator-protocol request.
+    """Answer one decoded non-predict request; returns (response, shutdown).
 
-    The coordinator speaks the same JSON-per-line protocol as a node —
-    clients need no new library — with the management ops reinterpreted
-    fleet-wide: ``stats`` merges every node's serving ledger, ``health``
-    sweeps the fleet, ``republish`` broadcasts the hot swap, and
-    ``shutdown`` stops the coordinator (``{"op": "shutdown", "fleet":
-    true}`` takes the nodes down with it).  Binary framing is a
-    node-level negotiation; the coordinator refuses it with a typed
-    error pointing clients at the nodes.
+    The management ops are reinterpreted fleet-wide: ``stats`` merges
+    every node's serving ledger, ``health`` sweeps the fleet,
+    ``republish`` broadcasts the hot swap, and ``shutdown`` stops the
+    coordinator (``{"op": "shutdown", "fleet": true}`` takes the nodes
+    down with it).  Binary framing is a node-level negotiation; the
+    coordinator refuses it with a typed error pointing clients at the
+    nodes.
     """
-    if not isinstance(request, dict):
-        raise InvalidRequestError("each request line must be a JSON object")
-    op = request.get("op", "predict")
+    op = request.get("op")
     request_id = request.get("id")
     if op == "ping":
         return (
@@ -703,41 +700,34 @@ def handle_cluster_request(
             "the coordinator speaks JSON lines only; negotiate binary "
             "framing directly with a serving node"
         )
-    if op != "predict":
-        raise InvalidRequestError(
-            f"unknown op {op!r} (known: predict, hello, ping, stats, "
-            f"health, republish, shutdown)"
-        )
-    return (
-        coordinator.predict_blocks(
-            request.get("blocks"),
-            machine=request.get("machine"),
-            fingerprint=request.get("fingerprint"),
-            request_id=request_id,
-        ),
-        False,
+    raise InvalidRequestError(
+        f"unknown op {op!r} (known: predict, hello, ping, stats, "
+        f"health, republish, shutdown)"
     )
 
 
 def handle_cluster_line(
     coordinator: ClusterCoordinator, line: str
 ) -> Tuple[bytes, bool]:
-    """Answer one stripped request line; returns (reply line, shutdown).
+    """Answer one request line; returns (reply line, shutdown).
 
-    Predict lines are relayed as bytes
-    (:meth:`ClusterCoordinator.relay_predict`); every other op goes
-    through :func:`handle_cluster_request`.  Failures become typed error
+    The coordinator speaks the same JSON-per-line protocol as a node —
+    clients need no new library.  Predict lines (the default op) are
+    relayed as bytes (:meth:`ClusterCoordinator.relay_predict`); the
+    management ops are answered fleet-wide.  Failures become typed error
     envelopes.
     """
     request_id = None
     try:
+        line = line.strip()
         request = json.loads(line)
-        if isinstance(request, dict):
-            request_id = request.get("id")
-            if request.get("op", "predict") == "predict":
-                raw = (line + "\n").encode("utf-8")
-                return coordinator.relay_predict(request, raw), False
-        response, shutdown = handle_cluster_request(coordinator, request)
+        if not isinstance(request, dict):
+            raise InvalidRequestError("each request line must be a JSON object")
+        request_id = request.get("id")
+        if request.get("op", "predict") == "predict":
+            raw = (line + "\n").encode("utf-8")
+            return coordinator.relay_predict(request, raw), False
+        response, shutdown = _answer_fleet_op(coordinator, request)
     except Exception as error:  # noqa: BLE001 - typed on the wire
         response = {
             "id": request_id,

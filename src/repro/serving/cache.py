@@ -48,6 +48,8 @@ _WIRE_VALUE_TYPES = frozenset((float, int, bool))
 #: ``map``'s default argument for :meth:`CompiledMapping.wire_key`: every
 #: name missing from the table reads as the unknown id ``-1``.
 _UNKNOWN_IDS = itertools.repeat(-1)
+#: One fresh number per :class:`CompiledMapping` built in this process.
+_COMPILE_IDS = itertools.count()
 
 
 class CompiledMapping:
@@ -101,10 +103,12 @@ class CompiledMapping:
             name: index
             for index, name in enumerate(sorted(self.instruction_by_name))
         }
-        #: Scopes every wire key to this compiled version: dense ids mean
+        #: Scopes every wire key to this one compilation: dense ids mean
         #: nothing across mappings, so a republish can never hit a
-        #: lowering resolved against the previous instruction table.
-        self.wire_scope: Tuple[str, float] = (self.fingerprint, self.version)
+        #: lowering resolved against the previous instruction table.  The
+        #: compile counter, not ``version``, makes it unique: two
+        #: publications may carry the same ``created_at``.
+        self.wire_scope: Tuple[str, int] = (self.fingerprint, next(_COMPILE_IDS))
         self._dense: Optional[Tuple[List[str], np.ndarray]] = None
 
     def wire_key(self, block: object) -> Optional[tuple]:
@@ -309,31 +313,35 @@ class KernelLoweringCache:
         A hit costs one dict lookup.  Only a miss calls ``kernel_at`` with
         the key's index and lowers the kernel it returns — outside the
         lock, so an exception it raises (a refused request block) leaves
-        the cache and its counters untouched.  One lock acquisition
-        covers an all-hit group, two a group with misses: O(1)
-        synchronization per request, not per kernel.
+        the cache and its counters untouched.  A key repeated within the
+        group is lowered once, at its first index; its repeats count as
+        hits.  One lock acquisition covers an all-hit group, two a group
+        with misses: O(1) synchronization per request, not per kernel.
         """
         lowerings: list = []
-        missing: List[int] = []
+        missing: Dict[Hashable, int] = {}  # missed key -> its first index
         with self._lock:
             cached = self._lowerings
             for index, key in enumerate(keys):
                 lowering = cached.get(key)
-                if lowering is None:
-                    missing.append(index)
-                else:
+                if lowering is not None:
                     cached.move_to_end(key)
+                elif key not in missing:
+                    missing[key] = index
                 lowerings.append(lowering)
             if not missing:
                 self.stats.record_lowering_cache_many(len(lowerings), 0)
                 return lowerings
-        for index in missing:
+        for index in missing.values():
             lowerings[index] = KernelLowering(kernel_at(index))
+        for index, lowering in enumerate(lowerings):
+            if lowering is None:  # a repeat of a key missed earlier
+                lowerings[index] = lowerings[missing[keys[index]]]
         evicted = 0
         with self._lock:
             cached = self._lowerings
-            for index in missing:
-                cached[keys[index]] = lowerings[index]
+            for key, index in missing.items():
+                cached[key] = lowerings[index]
             while len(cached) > self.capacity:
                 cached.popitem(last=False)
                 evicted += 1

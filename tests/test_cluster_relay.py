@@ -26,6 +26,7 @@ from repro.cluster import (
     CoordinatorServer,
     NodeSpec,
     RetryPolicy,
+    handle_cluster_line,
 )
 from repro.serving import ServingClient
 
@@ -162,6 +163,21 @@ class TestRelay:
             node.stop()
         assert refused["id"] == 9
         assert refused["error"]["type"] == "InvalidRequestError"
+
+    def test_in_process_lines_are_stripped_before_the_splice(self, fake_node):
+        host, port = fake_node.server_address
+        coordinator = ClusterCoordinator([NodeSpec("n0", host, port)], replicas=1)
+        request = {"id": 5, "machine": "fake", "blocks": [{"A": 1.0}]}
+        try:
+            replies = [
+                handle_cluster_line(coordinator, "  " + json.dumps(request) + " \n")
+                for _ in range(2)
+            ]
+        finally:
+            coordinator.close()
+        assert replies == [(canned_reply(request), False)] * 2
+        received = [json.loads(raw) for raw in fake_node.received]
+        assert received == [request, {**request, "fingerprint": FINGERPRINT}]
 
     def test_malformed_lines_get_typed_envelopes(self, fake_node):
         host, port = fake_node.server_address

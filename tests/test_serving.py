@@ -947,12 +947,14 @@ class TestWireKeyedLoweringCache:
             mapping=full.mapping.restricted(kept),
             stats=full.stats,
         )
-        time.sleep(0.01)
+        # Same publication stamp: only the file changes, and the swap
+        # alone must retire every key scoped to v1.
         v2 = MappingArtifact(
             machine_name=full.machine_name,
             machine_fingerprint=full.machine_fingerprint,
             mapping=full.mapping,
             stats=full.stats,
+            created_at=v1.created_at,
         )
         root = tmp_path / "registry"
         ArtifactRegistry(root).save(v1)
@@ -964,6 +966,7 @@ class TestWireKeyedLoweringCache:
             ArtifactRegistry(root).save(v2)
             assert fingerprint in service.republish()["swapped"]
             new = service.compiled(fingerprint)
+            assert new.version == old.version
             assert new.wire_ids[first] == old.wire_ids[second]
             (got,) = self._predict(service, toy_machine.name, [{first: 1.0}])
             assert self._counters(service)[:2] == (0, 2)
@@ -1026,6 +1029,27 @@ class TestWireKeyedLoweringCache:
         # the first, so residency can trail misses minus evictions.
         assert misses - evictions >= resident
         assert resident <= 8
+
+    def test_a_block_repeated_in_one_message_is_lowered_once(
+        self, serving_registry, toy_machine, reference_predictors
+    ):
+        reference = reference_predictors[machine_fingerprint(toy_machine)]
+        i0, i1, i2, i3 = toy_machine.benchmarkable_instructions()[:4]
+        kernels = [
+            Microkernel({i0: 1.0, i1: 2.0}),
+            Microkernel({i2: 1.5, i3: 1.0}),
+        ]
+        a = {i0.name: 1.0, i1.name: 2.0}
+        b = {i2.name: 1.5, i3.name: 1.0}
+        message = [a, b, dict(a), a, {i3.name: 1.0, i2.name: 1.5}]
+        with PredictionService(serving_registry) as service:
+            got = self._predict(service, toy_machine.name, message)
+            # a, b and b's other key order miss; a's two repeats hit.
+            assert self._counters(service) == (2, 3, 0)
+            assert len(service._lowerings) == 3
+        expected = [kernels[0], kernels[1], kernels[0], kernels[0], kernels[1]]
+        for prediction, kernel in zip(got, expected):
+            assert_same_prediction(prediction, reference.predict(kernel))
 
     def test_counters_add_up_under_eviction(self, serving_registry, toy_machine):
         kernels = random_kernels(toy_machine.benchmarkable_instructions(), 16, 3)
