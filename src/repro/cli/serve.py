@@ -30,6 +30,10 @@ Cluster modes (:mod:`repro.cluster`):
   fingerprint (rendezvous hashing), fails over between replicas, and
   fans management ops (``stats``, ``health``, ``republish``,
   ``shutdown {"fleet": true}``) out fleet-wide.
+
+Every mode pins glibc's heap thresholds first (:func:`pin_heap_thresholds`),
+so the numpy temporaries of each flush reuse heap pages instead of
+faulting them in again.
 """
 
 from __future__ import annotations
@@ -37,9 +41,42 @@ from __future__ import annotations
 import argparse
 import sys
 
+#: glibc ``mallopt`` parameter numbers (``<malloc.h>``).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+#: glibc's own ceiling for its dynamic mmap threshold (64-bit).
+_MMAP_THRESHOLD_BYTES = 32 * 1024 * 1024
+#: Twice the mmap threshold: the ratio glibc's dynamic rule keeps.
+_TRIM_THRESHOLD_BYTES = 2 * _MMAP_THRESHOLD_BYTES
+
+
+def pin_heap_thresholds() -> bool:
+    """Pin glibc's mmap and trim thresholds for a long-lived server.
+
+    A flush allocates megabytes of short-lived numpy temporaries.  Under
+    glibc's defaults the larger ones are mmapped and the top of the heap
+    is trimmed after the flush, so every flush faults the same pages in
+    again.  Pinning both thresholds keeps those pages in the heap.  Both
+    must be set: setting the trim threshold alone switches off glibc's
+    dynamic mmap threshold and faults more.  Returns whether ``mallopt``
+    took both settings; a no-op (``False``) off glibc.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    pinned = mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES) == 1
+    return mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES) == 1 and pinned
+
 
 def run_serve(args: argparse.Namespace) -> int:
     from repro.telemetry import telemetry_session
+
+    pin_heap_thresholds()
 
     if getattr(args, "cluster", False):
         kind, runner = "cluster", _run_coordinator

@@ -15,6 +15,10 @@ LPs and MILPs.  Two construction front-ends share one solve gateway:
     thousands of identically-shaped problems rebind data instead of
     rebuilding structure.
 
+scipy is imported on the first solve, not with this package: serving
+processes import ``repro.solvers`` through the machine and mapping modules
+but never solve, so they never load the backend.
+
 Public API
 ----------
 ``Model``, ``Variable``, ``LinearExpression``, ``Constraint``

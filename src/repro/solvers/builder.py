@@ -45,10 +45,9 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize, sparse
 
 from repro.solvers import stats as solver_stats
 from repro.telemetry import TRACER
@@ -59,6 +58,9 @@ from repro.solvers.status import (
     UnboundedError,
     map_status,
 )
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 def solve_milp_arrays(
@@ -81,6 +83,11 @@ def solve_milp_arrays(
     (``OPTIMAL`` or ``LIMIT`` with an incumbent), the solution vector and
     the reported MIP gap (``None`` for pure LPs).
     """
+    # scipy loads on the first solve, not at import (serving processes
+    # import this package but never solve), and before the solve timer
+    # starts, so the import is not charged to the backend solve.
+    from scipy import optimize
+
     constraints = None
     if matrix is not None and matrix.shape[0] > 0:
         constraints = optimize.LinearConstraint(matrix, row_lo, row_hi)
@@ -441,6 +448,8 @@ class ModelTemplate:
         sign = -1.0 if self._maximize else 1.0
         matrix = None
         if self.num_rows:
+            from scipy import sparse
+
             matrix = sparse.csr_matrix(
                 (self._data.copy(), self._indices, self._indptr),
                 shape=(self.num_rows, n),

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
-from scipy import sparse
 
 from repro.solvers import stats as solver_stats
 from repro.solvers.builder import solve_milp_arrays
@@ -460,7 +459,11 @@ class Model:
     ) -> Solution:
         # The expression-based front-end re-assembles its matrices on every
         # solve: account that as one model build (hot paths that want
-        # builds < solves use ModelBuilder/ModelTemplate instead).
+        # builds < solves use ModelBuilder/ModelTemplate instead).  scipy
+        # is imported before the build timer starts, so a process's first
+        # solve does not charge the import to the build.
+        from scipy import sparse
+
         build_start = time.monotonic()
         sign = -1.0 if self._objective.maximize else 1.0
         c = np.zeros(n)
