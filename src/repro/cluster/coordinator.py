@@ -66,6 +66,7 @@ from repro.serving.errors import InvalidRequestError
 from repro.serving.frontend import BinaryServingClient
 from repro.serving.stats import ServingStats
 from repro.telemetry import TRACER
+from repro.telemetry.counters import CounterError
 
 #: Error types a node answers that no replica would answer differently —
 #: malformed requests and unknown machine names pass through to the
@@ -621,12 +622,14 @@ class ClusterCoordinator:
             except NodeUnavailableError as error:
                 nodes[node_id] = {"status": "unreachable", "error": str(error)}
                 continue
-            snapshot = response.get("stats")
-            if isinstance(snapshot, dict):
-                merged.merge_snapshot(snapshot)
-                nodes[node_id] = {"status": "ok"}
-            else:
-                nodes[node_id] = {"status": "invalid"}
+            try:
+                merged.merge_snapshot(response.get("stats"))
+            except CounterError as error:
+                # One malformed node snapshot is reported, never merged
+                # in part, and never fails the fleet view.
+                nodes[node_id] = {"status": "invalid", "error": str(error)}
+                continue
+            nodes[node_id] = {"status": "ok"}
         return {
             "cluster": self.stats.snapshot(),
             "fleet": merged.snapshot(),

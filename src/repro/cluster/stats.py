@@ -10,8 +10,8 @@ The coordinator keeps two kinds of state about its fleet:
   :class:`~repro.serving.stats.ServingStats` snapshot, and the
   coordinator folds them into one fleet view with
   :meth:`~repro.serving.stats.ServingStats.merge_snapshot` (additive
-  counters, max-merged watermarks — the
-  :meth:`~repro.solvers.stats.SolveStats.merge` convention).
+  counters, max-merged watermarks, as each counter declares in
+  :mod:`repro.telemetry.counters`).
 
 Keeping the two separate keeps the semantics honest: a *routed* request
 that failed over counts once here and once on **each** node that touched
@@ -21,32 +21,36 @@ it, so ``requests_routed <= sum(node requests)`` by design, not by bug.
 from __future__ import annotations
 
 import threading
+from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.telemetry import TRACER
+from repro.telemetry import TRACER, counters
+from repro.telemetry.counters import counter
 
 
+@dataclass(eq=False)
 class ClusterStats:
     """Thread-safe routing/failover counters for one coordinator."""
 
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        #: Requests the coordinator accepted and attempted to route.
-        self.requests_routed = 0
-        #: Requests answered by a non-primary replica (>= 1 node failed).
-        self.failovers = 0
-        #: Same-node retry attempts (transport error within the budget).
-        self.retries = 0
-        #: Requests refused upstream: every replica exhausted.
-        self.refused_upstream = 0
-        #: Health poll sweeps completed.
-        self.health_polls = 0
-        #: Republish broadcasts fanned out to the fleet.
-        self.republish_broadcasts = 0
-        #: node_id -> requests forwarded to it (counting retries once).
-        self.forwards_by_node: Dict[str, int] = {}
-        #: node_id -> times it was declared unavailable for a request.
-        self.failures_by_node: Dict[str, int] = {}
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False
+    )
+    #: Requests the coordinator accepted and attempted to route.
+    requests_routed: int = counter()
+    #: Requests answered by a non-primary replica (>= 1 node failed).
+    failovers: int = counter()
+    #: Same-node retry attempts (transport error within the budget).
+    retries: int = counter()
+    #: Requests refused upstream: every replica exhausted.
+    refused_upstream: int = counter()
+    #: Health poll sweeps completed.
+    health_polls: int = counter()
+    #: Republish broadcasts fanned out to the fleet.
+    republish_broadcasts: int = counter()
+    #: node_id -> requests forwarded to it (counting retries once).
+    forwards_by_node: Dict[str, int] = counter(dict)
+    #: node_id -> times it was declared unavailable for a request.
+    failures_by_node: Dict[str, int] = counter(dict)
 
     # -- recording -----------------------------------------------------------
     def record_routed(self) -> None:
@@ -95,13 +99,4 @@ class ClusterStats:
     def snapshot(self) -> Dict[str, object]:
         """JSON-ready copy of every counter (consistent under the lock)."""
         with self._lock:
-            return {
-                "requests_routed": self.requests_routed,
-                "failovers": self.failovers,
-                "retries": self.retries,
-                "refused_upstream": self.refused_upstream,
-                "health_polls": self.health_polls,
-                "republish_broadcasts": self.republish_broadcasts,
-                "forwards_by_node": dict(self.forwards_by_node),
-                "failures_by_node": dict(self.failures_by_node),
-            }
+            return counters.wire(self)

@@ -116,7 +116,7 @@ class Palmed:
         """
         from repro.measure.fingerprint import backend_fingerprint
         from repro.pipeline import StageContext, StageGraph, palmed_stages
-        from repro.telemetry import TRACER, telemetry_session
+        from repro.telemetry import TRACER, counters, telemetry_session
 
         context = StageContext(
             runner=self.runner,
@@ -161,17 +161,11 @@ class Palmed:
             self.runner.flush_cache()
 
             if TRACER.enabled:
-                # End-of-run summary metrics mirroring the deterministic
-                # solver counters, so warm-hit rates are queryable
+                # End-of-run summary metrics (the PalmedStats counters that
+                # declare one), so warm-hit rates are queryable
                 # (``repro stats solver``) next to the traced spans.
-                TRACER.metric("solver.solves", stats.lp_solves)
-                TRACER.metric("solver.warm_start_hits", stats.lp_warm_start_hits)
-                TRACER.metric("solver.model_builds", stats.lp_model_builds)
-                TRACER.metric("solver.chunks", stats.lp_chunks)
-                TRACER.metric("solver.lp_time_s", stats.lp_time)
-                TRACER.metric(
-                    "pipeline.benchmarking_time_s", stats.benchmarking_time
-                )
+                for metric, value in counters.metrics(stats):
+                    TRACER.metric(metric, value)
 
         core = run.outputs["core"]
         saturating = {

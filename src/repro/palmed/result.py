@@ -3,14 +3,22 @@
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import MISSING, dataclass, field
+from typing import ClassVar, Dict, List, Optional, Tuple
 
 from repro.isa.instruction import Instruction
 from repro.mapping.conjunctive import ConjunctiveResourceMapping, UnknownInstructionError
 from repro.mapping.microkernel import Microkernel
 from repro.palmed.basic_selection import BasicSelectionResult
 from repro.palmed.core_mapping import CoreMappingResult
+from repro.solvers.stats import SolveStats
+from repro.telemetry import counters
+from repro.telemetry.counters import counter
+
+
+def _lp_field(name: str) -> str:
+    """The :class:`PalmedStats` field reporting SolveStats counter ``name``."""
+    return name if name.startswith("lp_") else f"lp_{name}"
 
 
 @dataclass
@@ -66,41 +74,49 @@ class PalmedStats:
     num_equivalence_classes: int
     num_low_ipc: int
     lp1_iterations: int
-    benchmarking_time: float
-    lp_time: float
-    total_time: float
+    benchmarking_time: float = counter(
+        MISSING, run_local=True, metric="pipeline.benchmarking_time_s"
+    )
+    lp_time: float = counter(MISSING, run_local=True, metric="solver.lp_time_s")
+    total_time: float = counter(MISSING, run_local=True)
     num_benchmarks_measured: int = 0
     num_benchmarks_cached: int = 0
-    lp_solves: int = 0
-    lp_model_builds: int = 0
-    lp_warm_start_hits: int = 0
+    # The ``lp_*`` counters report the SolveStats counter of the same name
+    # (``lp_`` prefixed), whose declaration says whether they are run-local.
+    lp_solves: int = counter(metric="solver.solves")
+    lp_model_builds: int = counter(metric="solver.model_builds")
+    lp_warm_start_hits: int = counter(metric="solver.warm_start_hits")
     lp_rebinds: int = 0
-    lp_chunks: int = 0
+    lp_chunks: int = counter(metric="solver.chunks")
     lp_limit_solves: int = 0
     lp_worst_mip_gap: float = 0.0
     lp_build_time: float = 0.0
     lp_solve_time: float = 0.0
     lp_rebind_time: float = 0.0
-    stage_wall_clock: Dict[str, float] = field(default_factory=dict)
-    stage_checkpoint_hits: Dict[str, bool] = field(default_factory=dict)
+    stage_wall_clock: Dict[str, float] = counter(dict, run_local=True)
+    stage_checkpoint_hits: Dict[str, bool] = counter(dict, run_local=True)
 
     #: Fields that describe *when/where* the run happened rather than what
-    #: it computed: wall clocks (never reproducible between two executions)
-    #: and the per-run checkpoint-hit map.  Everything else — every count,
-    #: the machine name — is a deterministic function of the inputs and is
-    #: required to match bitwise between a cold run and any resumed run.
-    RUN_LOCAL_FIELDS = (
-        "benchmarking_time",
-        "lp_time",
-        "total_time",
-        "lp_build_time",
-        "lp_solve_time",
-        "lp_rebind_time",
-        "lp_limit_solves",
-        "lp_worst_mip_gap",
-        "stage_wall_clock",
-        "stage_checkpoint_hits",
-    )
+    #: it computed: wall clocks (never reproducible between two executions),
+    #: machine-speed solver outcomes and the per-run checkpoint-hit map.
+    #: Everything else — every count, the machine name — is a
+    #: deterministic function of the inputs and is required to match
+    #: bitwise between a cold run and any resumed run.  Derived from the
+    #: declarations (assigned below the class).
+    RUN_LOCAL_FIELDS: ClassVar[Tuple[str, ...]]
+
+    @classmethod
+    def lp_counters(cls, solve_stats: SolveStats) -> Dict[str, object]:
+        """The ``lp_*`` fields reporting one solver record."""
+        return {
+            _lp_field(name): value
+            for name, value in solve_stats.as_dict().items()
+            if _lp_field(name) in cls.__dataclass_fields__
+        }
+
+    def split(self) -> Tuple[Dict[str, object], Dict[str, object]]:
+        """``(deterministic, run_local)`` halves of :meth:`to_dict`."""
+        return counters.split(self.to_dict(), self.RUN_LOCAL_FIELDS)
 
     def deterministic_dict(self) -> Dict[str, object]:
         """The run-independent view: every field except wall clocks/hits.
@@ -109,11 +125,7 @@ class PalmedStats:
         checkpoints (after any stage-boundary interruption) must produce a
         ``deterministic_dict`` equal to the cold run's, bit for bit.
         """
-        return {
-            key: value
-            for key, value in self.to_dict().items()
-            if key not in self.RUN_LOCAL_FIELDS
-        }
+        return self.split()[0]
 
     def as_table_rows(self) -> List[Tuple[str, str]]:
         """Rows formatted like Table II of the paper."""
@@ -166,6 +178,13 @@ class PalmedStats:
         """
         known = {field.name for field in dataclasses.fields(cls)}
         return cls(**{key: value for key, value in payload.items() if key in known})
+
+
+PalmedStats.RUN_LOCAL_FIELDS = counters.names(PalmedStats, run_local=True) + tuple(
+    name
+    for name in map(_lp_field, counters.names(SolveStats, run_local=True))
+    if name in PalmedStats.__dataclass_fields__
+)
 
 
 @dataclass

@@ -248,43 +248,6 @@ class SelectionStage(Stage):
 # Stage 3 — core mapping (Algorithms 2–4)
 # ---------------------------------------------------------------------------
 
-def _solve_stats_to_payload(stats: SolveStats) -> Dict[str, int]:
-    """The deterministic half of a solver record (counts only).
-
-    Warm-start hits, rebinds and chunk counts are deterministic functions
-    of the configuration, so they belong in the hashed payload; limit
-    outcomes and gaps are machine-speed dependent and ship with the times
-    under ``_nondeterministic`` instead.
-    """
-    return {
-        "model_builds": stats.model_builds,
-        "solves": stats.solves,
-        "warm_start_hits": stats.warm_start_hits,
-        "rebinds": stats.rebinds,
-        "lp_chunks": stats.lp_chunks,
-    }
-
-
-def _solve_stats_from_payload(
-    counts: Dict[str, int], times: Dict[str, float]
-) -> SolveStats:
-    # ``.get`` defaults keep checkpoints written before the batched solver
-    # engine loadable: their records simply report zero for the new
-    # counters.
-    return SolveStats(
-        model_builds=int(counts["model_builds"]),
-        solves=int(counts["solves"]),
-        warm_start_hits=int(counts.get("warm_start_hits", 0)),
-        rebinds=int(counts.get("rebinds", 0)),
-        lp_chunks=int(counts.get("lp_chunks", 0)),
-        limit_solves=int(times.get("limit_solves", 0)),
-        worst_mip_gap=float(times.get("worst_mip_gap", 0.0)),
-        build_time=float(times.get("build_time", 0.0)),
-        solve_time=float(times.get("solve_time", 0.0)),
-        rebind_time=float(times.get("rebind_time", 0.0)),
-    )
-
-
 class CoreMappingStage(Stage):
     """Iterated LP1 + LP2 + saturating-kernel selection over the basic set."""
 
@@ -311,6 +274,7 @@ class CoreMappingStage(Stage):
         return compute_core_mapping(context.runner, selection, context.config)
 
     def serialize(self, output: CoreMappingResult) -> Dict[str, object]:
+        solver_counts, solver_local = output.solver_stats.split()
         return {
             "num_resources": output.shape.num_resources,
             "edges": {
@@ -334,15 +298,8 @@ class CoreMappingStage(Stage):
                 for resource, kernel in output.saturating_kernels.items()
             },
             "lp1_iterations": output.lp1_iterations,
-            "solver_counts": _solve_stats_to_payload(output.solver_stats),
-            "_nondeterministic": {
-                "lp_time": output.lp_time,
-                "build_time": output.solver_stats.build_time,
-                "solve_time": output.solver_stats.solve_time,
-                "rebind_time": output.solver_stats.rebind_time,
-                "limit_solves": output.solver_stats.limit_solves,
-                "worst_mip_gap": output.solver_stats.worst_mip_gap,
-            },
+            "solver_counts": solver_counts,
+            "_nondeterministic": {"lp_time": output.lp_time, **solver_local},
         }
 
     def deserialize(
@@ -383,7 +340,7 @@ class CoreMappingStage(Stage):
             },
             lp1_iterations=int(payload["lp1_iterations"]),
             lp_time=float(times.get("lp_time", 0.0)),
-            solver_stats=_solve_stats_from_payload(payload["solver_counts"], times),
+            solver_stats=SolveStats.from_split(payload["solver_counts"], times),
         )
 
     def warm_runner(self, output: CoreMappingResult, context: StageContext) -> None:
@@ -427,17 +384,14 @@ class CompleteMappingStage(Stage):
         )
 
     def serialize(self, output: CompleteMappingOutcome) -> Dict[str, object]:
+        solver_counts, solver_local = output.solver_stats.split()
         return {
             "mapped": rho_to_payload(output.mapped),
-            "solver_counts": _solve_stats_to_payload(output.solver_stats),
+            "solver_counts": solver_counts,
             "_nondeterministic": {
                 "measurement_time": output.measurement_time,
                 "solve_time_wall": output.solve_time,
-                "build_time": output.solver_stats.build_time,
-                "solve_time": output.solver_stats.solve_time,
-                "rebind_time": output.solver_stats.rebind_time,
-                "limit_solves": output.solver_stats.limit_solves,
-                "worst_mip_gap": output.solver_stats.worst_mip_gap,
+                **solver_local,
             },
         }
 
@@ -450,7 +404,7 @@ class CompleteMappingStage(Stage):
             mapped=rho_from_payload(payload["mapped"], index),
             measurement_time=float(times.get("measurement_time", 0.0)),
             solve_time=float(times.get("solve_time_wall", 0.0)),
-            solver_stats=_solve_stats_from_payload(payload["solver_counts"], times),
+            solver_stats=SolveStats.from_split(payload["solver_counts"], times),
         )
 
     # No warm_runner override: nothing downstream of LPAUX measures, so
@@ -541,47 +495,25 @@ class FinalizeStage(Stage):
             num_benchmarks_cached=sum(
                 r.num_benchmarks_cached for r in records.values()
             ),
-            lp_solves=lp_stats.solves,
-            lp_model_builds=lp_stats.model_builds,
-            lp_warm_start_hits=lp_stats.warm_start_hits,
-            lp_rebinds=lp_stats.rebinds,
-            lp_chunks=lp_stats.lp_chunks,
-            lp_limit_solves=lp_stats.limit_solves,
-            lp_worst_mip_gap=lp_stats.worst_mip_gap,
-            lp_build_time=lp_stats.build_time,
-            lp_solve_time=lp_stats.solve_time,
-            lp_rebind_time=lp_stats.rebind_time,
+            **PalmedStats.lp_counters(lp_stats),
         )
         return FinalOutcome(mapping=mapping, stats=stats)
 
     def serialize(self, output: FinalOutcome) -> Dict[str, object]:
-        stats = output.stats.to_dict()
-        deterministic = {
-            key: value
-            for key, value in stats.items()
-            if key not in PalmedStats.RUN_LOCAL_FIELDS
-        }
+        deterministic, run_local = output.stats.split()
         return {
             "mapping": output.mapping.to_dict(),
             "stats": deterministic,
-            "_nondeterministic": {
-                "stats": {
-                    key: value
-                    for key, value in stats.items()
-                    if key in PalmedStats.RUN_LOCAL_FIELDS
-                }
-            },
+            "_nondeterministic": {"stats": run_local},
         }
 
     def deserialize(
         self, payload: Dict[str, object], context: StageContext
     ) -> FinalOutcome:
         times = payload.get("_nondeterministic", {}).get("stats", {})
-        stats_payload = dict(payload["stats"])
-        stats_payload.update(times)
         return FinalOutcome(
             mapping=ConjunctiveResourceMapping.from_dict(payload["mapping"]),
-            stats=PalmedStats.from_dict(stats_payload),
+            stats=PalmedStats.from_dict({**payload["stats"], **times}),
         )
 
 

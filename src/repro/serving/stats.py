@@ -17,7 +17,7 @@ Cross-node aggregation
 A cluster coordinator reads each node's snapshot over the wire and folds
 them into one view with :meth:`ServingStats.merge` (or
 :meth:`merge_snapshot` directly from the wire dict).  The semantics
-follow the :meth:`repro.solvers.SolveStats.merge` convention: **counters
+are declared on each field (:mod:`repro.telemetry.counters`): **counters
 and durations merge additively** (requests, batches, cache hits, latency
 totals — quantities that accumulate across nodes), **watermarks merge
 with max** (``pending_peak``, ``batch_occupancy_max``, ``latency_max``,
@@ -31,52 +31,58 @@ have reported.
 from __future__ import annotations
 
 import threading
+from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
+from repro.telemetry import counters
+from repro.telemetry.counters import MAX, counter
 
+
+@dataclass(eq=False)
 class ServingStats:
     """Mutable, thread-safe accumulator of serving metrics."""
 
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        # admission
-        self.requests_submitted = 0
-        self.requests_admitted = 0
-        self.requests_refused = 0
-        self.requests_completed = 0
-        self.requests_failed = 0
-        self.pending_peak = 0
-        # batching
-        self.batches_flushed = 0
-        self.batch_occupancy_total = 0
-        self.batch_occupancy_max = 0
-        # latency (seconds, monotonic-clock submit -> response)
-        self.latency_total = 0.0
-        self.latency_max = 0.0
-        # flush-phase attribution (seconds, scheduler-side): building the
-        # lowered batch, evaluating it, resolving futures
-        self.flush_build_s = 0.0
-        self.flush_predict_s = 0.0
-        self.flush_resolve_s = 0.0
-        # hot-mapping cache
-        self.mapping_cache_hits = 0
-        self.mapping_cache_misses = 0
-        self.mapping_cache_evictions = 0
-        # kernel-lowering cache
-        self.lowering_cache_hits = 0
-        self.lowering_cache_misses = 0
-        self.lowering_cache_evictions = 0
-        # zero-downtime republish: hot mapping swaps and the drain
-        # watermark (kernels still in flight against the old compiled
-        # mapping at the moment of the swap)
-        self.mapping_republishes = 0
-        self.republish_pending_peak = 0
-        # replica maintenance: sync attempts the republish watcher (or an
-        # explicit republish op) failed — a wedged watcher shows up here
-        # instead of dying silently
-        self.replica_sync_failures = 0
-        # per-machine routed request counts, keyed by fingerprint
-        self.requests_by_fingerprint: Dict[str, int] = {}
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False
+    )
+    # admission
+    requests_submitted: int = counter()
+    requests_admitted: int = counter()
+    requests_refused: int = counter()
+    requests_completed: int = counter()
+    requests_failed: int = counter()
+    pending_peak: int = counter(0, MAX)
+    # batching
+    batches_flushed: int = counter()
+    batch_occupancy_total: int = counter()
+    batch_occupancy_max: int = counter(0, MAX)
+    # latency (seconds, monotonic-clock submit -> response)
+    latency_total: float = counter(0.0, wire="latency_total_s")
+    latency_max: float = counter(0.0, MAX, wire="latency_max_ms", scale=1e3)
+    # flush-phase attribution (seconds, scheduler-side): building the
+    # lowered batch, evaluating it, resolving futures
+    flush_build_s: float = counter(0.0, wire="flush_build_ms_total", scale=1e3)
+    flush_predict_s: float = counter(0.0, wire="flush_predict_ms_total", scale=1e3)
+    flush_resolve_s: float = counter(0.0, wire="flush_resolve_ms_total", scale=1e3)
+    # hot-mapping cache
+    mapping_cache_hits: int = counter()
+    mapping_cache_misses: int = counter()
+    mapping_cache_evictions: int = counter()
+    # kernel-lowering cache
+    lowering_cache_hits: int = counter()
+    lowering_cache_misses: int = counter()
+    lowering_cache_evictions: int = counter()
+    # zero-downtime republish: hot mapping swaps and the drain
+    # watermark (kernels still in flight against the old compiled
+    # mapping at the moment of the swap)
+    mapping_republishes: int = counter()
+    republish_pending_peak: int = counter(0, MAX)
+    # replica maintenance: sync attempts the republish watcher (or an
+    # explicit republish op) failed — a wedged watcher shows up here
+    # instead of dying silently
+    replica_sync_failures: int = counter()
+    # per-machine routed request counts, keyed by fingerprint
+    requests_by_fingerprint: Dict[str, int] = counter(dict)
 
     # -- admission -----------------------------------------------------------
     def record_admitted(self, fingerprint: str, count: int, pending: int) -> None:
@@ -176,16 +182,15 @@ class ServingStats:
         """Accumulate another node's record into this one (returns ``self``).
 
         Counters and durations merge additively; the watermarks
-        (``pending_peak``, ``batch_occupancy_max``, ``latency_max``,
-        ``republish_pending_peak``) merge with ``max`` — the
-        :meth:`repro.solvers.SolveStats.merge` convention.  Derived rates
-        are not state and simply fall out of the merged counters on the
-        next :meth:`snapshot`.
+        (:attr:`WATERMARK_FIELDS`) merge with ``max``, as declared on each
+        field (see :mod:`repro.telemetry.counters`).  Derived rates are not
+        state and simply fall out of the merged counters on the next
+        :meth:`snapshot`.
         """
         with other._lock:
-            contribution = other._raw_locked()
+            contribution = counters.raw(other)
         with self._lock:
-            self._merge_raw_locked(contribution)
+            counters.merge(self, contribution)
         return self
 
     def merge_snapshot(self, snapshot: Mapping[str, object]) -> "ServingStats":
@@ -194,147 +199,39 @@ class ServingStats:
         The coordinator's aggregation path: node stats travel as JSON
         snapshots, so the raw counters are read back out of the snapshot
         (derived rates are ignored) and merged with the same
-        additive-vs-max semantics as :meth:`merge`.
+        additive-vs-max semantics as :meth:`merge`.  A malformed snapshot
+        raises :class:`~repro.telemetry.counters.CounterError` (a
+        ``ValueError``) and leaves this record unchanged.
         """
-        contribution = {
-            "requests_submitted": int(snapshot.get("requests_submitted", 0)),
-            "requests_admitted": int(snapshot.get("requests_admitted", 0)),
-            "requests_refused": int(snapshot.get("requests_refused", 0)),
-            "requests_completed": int(snapshot.get("requests_completed", 0)),
-            "requests_failed": int(snapshot.get("requests_failed", 0)),
-            "pending_peak": int(snapshot.get("pending_peak", 0)),
-            "batches_flushed": int(snapshot.get("batches_flushed", 0)),
-            "batch_occupancy_total": int(snapshot.get("batch_occupancy_total", 0)),
-            "batch_occupancy_max": int(snapshot.get("batch_occupancy_max", 0)),
-            "latency_total": float(snapshot.get("latency_total_s", 0.0)),
-            "latency_max": 1e-3 * float(snapshot.get("latency_max_ms", 0.0)),
-            "flush_build_s": 1e-3 * float(snapshot.get("flush_build_ms_total", 0.0)),
-            "flush_predict_s": 1e-3
-            * float(snapshot.get("flush_predict_ms_total", 0.0)),
-            "flush_resolve_s": 1e-3
-            * float(snapshot.get("flush_resolve_ms_total", 0.0)),
-            "mapping_cache_hits": int(snapshot.get("mapping_cache_hits", 0)),
-            "mapping_cache_misses": int(snapshot.get("mapping_cache_misses", 0)),
-            "mapping_cache_evictions": int(snapshot.get("mapping_cache_evictions", 0)),
-            "lowering_cache_hits": int(snapshot.get("lowering_cache_hits", 0)),
-            "lowering_cache_misses": int(snapshot.get("lowering_cache_misses", 0)),
-            "lowering_cache_evictions": int(
-                snapshot.get("lowering_cache_evictions", 0)
-            ),
-            "mapping_republishes": int(snapshot.get("mapping_republishes", 0)),
-            "republish_pending_peak": int(snapshot.get("republish_pending_peak", 0)),
-            "replica_sync_failures": int(snapshot.get("replica_sync_failures", 0)),
-            "requests_by_fingerprint": dict(
-                snapshot.get("requests_by_fingerprint", {})
-            ),
-        }
+        contribution = counters.read_wire(ServingStats, snapshot)
         with self._lock:
-            self._merge_raw_locked(contribution)
+            counters.merge(self, contribution)
         return self
-
-    def _raw_locked(self) -> Dict[str, object]:
-        """The raw merge-able state (caller holds the lock)."""
-        return {
-            "requests_submitted": self.requests_submitted,
-            "requests_admitted": self.requests_admitted,
-            "requests_refused": self.requests_refused,
-            "requests_completed": self.requests_completed,
-            "requests_failed": self.requests_failed,
-            "pending_peak": self.pending_peak,
-            "batches_flushed": self.batches_flushed,
-            "batch_occupancy_total": self.batch_occupancy_total,
-            "batch_occupancy_max": self.batch_occupancy_max,
-            "latency_total": self.latency_total,
-            "latency_max": self.latency_max,
-            "flush_build_s": self.flush_build_s,
-            "flush_predict_s": self.flush_predict_s,
-            "flush_resolve_s": self.flush_resolve_s,
-            "mapping_cache_hits": self.mapping_cache_hits,
-            "mapping_cache_misses": self.mapping_cache_misses,
-            "mapping_cache_evictions": self.mapping_cache_evictions,
-            "lowering_cache_hits": self.lowering_cache_hits,
-            "lowering_cache_misses": self.lowering_cache_misses,
-            "lowering_cache_evictions": self.lowering_cache_evictions,
-            "mapping_republishes": self.mapping_republishes,
-            "republish_pending_peak": self.republish_pending_peak,
-            "replica_sync_failures": self.replica_sync_failures,
-            "requests_by_fingerprint": dict(self.requests_by_fingerprint),
-        }
-
-    #: Raw fields that merge with ``max`` (per-node watermarks); every
-    #: other numeric field is additive.
-    WATERMARK_FIELDS = frozenset(
-        {
-            "pending_peak",
-            "batch_occupancy_max",
-            "latency_max",
-            "republish_pending_peak",
-        }
-    )
-
-    def _merge_raw_locked(self, contribution: Dict[str, object]) -> None:
-        for key, value in contribution.items():
-            if key == "requests_by_fingerprint":
-                by_machine = self.requests_by_fingerprint
-                for fingerprint, count in value.items():
-                    by_machine[fingerprint] = by_machine.get(fingerprint, 0) + int(
-                        count
-                    )
-            elif key in self.WATERMARK_FIELDS:
-                setattr(self, key, max(getattr(self, key), value))
-            else:
-                setattr(self, key, getattr(self, key) + value)
 
     # -- views ---------------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
         """A consistent, JSON-ready view of every counter plus derived rates."""
         with self._lock:
+            snap = counters.wire(self)
             completed = self.requests_completed
             batches = self.batches_flushed
             mapping_lookups = self.mapping_cache_hits + self.mapping_cache_misses
             lowering_lookups = self.lowering_cache_hits + self.lowering_cache_misses
-            return {
-                "requests_submitted": self.requests_submitted,
-                "requests_admitted": self.requests_admitted,
-                "requests_refused": self.requests_refused,
-                "requests_completed": completed,
-                "requests_failed": self.requests_failed,
-                "pending_peak": self.pending_peak,
-                "batches_flushed": batches,
-                "batch_occupancy_total": self.batch_occupancy_total,
-                "batch_occupancy_mean": (
-                    self.batch_occupancy_total / batches if batches else 0.0
-                ),
-                "batch_occupancy_max": self.batch_occupancy_max,
-                "latency_total_s": self.latency_total,
-                "latency_mean_ms": (
-                    1e3 * self.latency_total / completed if completed else 0.0
-                ),
-                "latency_max_ms": 1e3 * self.latency_max,
-                "flush_build_ms_total": 1e3 * self.flush_build_s,
-                "flush_predict_ms_total": 1e3 * self.flush_predict_s,
-                "flush_resolve_ms_total": 1e3 * self.flush_resolve_s,
-                "mapping_cache_hits": self.mapping_cache_hits,
-                "mapping_cache_misses": self.mapping_cache_misses,
-                "mapping_cache_evictions": self.mapping_cache_evictions,
-                "mapping_cache_hit_rate": (
-                    self.mapping_cache_hits / mapping_lookups
-                    if mapping_lookups
-                    else 0.0
-                ),
-                "lowering_cache_hits": self.lowering_cache_hits,
-                "lowering_cache_misses": self.lowering_cache_misses,
-                "lowering_cache_evictions": self.lowering_cache_evictions,
-                "lowering_cache_hit_rate": (
-                    self.lowering_cache_hits / lowering_lookups
-                    if lowering_lookups
-                    else 0.0
-                ),
-                "mapping_republishes": self.mapping_republishes,
-                "republish_pending_peak": self.republish_pending_peak,
-                "replica_sync_failures": self.replica_sync_failures,
-                "requests_by_fingerprint": dict(self.requests_by_fingerprint),
-            }
+            snap["batch_occupancy_mean"] = (
+                self.batch_occupancy_total / batches if batches else 0.0
+            )
+            snap["latency_mean_ms"] = (
+                1e3 * self.latency_total / completed if completed else 0.0
+            )
+            snap["mapping_cache_hit_rate"] = (
+                self.mapping_cache_hits / mapping_lookups if mapping_lookups else 0.0
+            )
+            snap["lowering_cache_hit_rate"] = (
+                self.lowering_cache_hits / lowering_lookups
+                if lowering_lookups
+                else 0.0
+            )
+            return snap
 
     def format_table(self, title: Optional[str] = None) -> str:
         """The operator-facing summary table."""
@@ -373,3 +270,8 @@ class ServingStats:
             f"refused={snap['requests_refused']}, "
             f"batches={snap['batches_flushed']})"
         )
+
+
+#: Raw fields that merge with ``max`` (per-node watermarks); every other
+#: numeric field is additive.
+ServingStats.WATERMARK_FIELDS = frozenset(counters.names(ServingStats, kind=MAX))

@@ -35,8 +35,12 @@ ship worker-side stats back to the parent process.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Iterator
+from typing import Dict, Iterator, Tuple
+
+from repro.telemetry import counters
+from repro.telemetry.counters import MAX, counter
 
 
 @dataclass
@@ -95,18 +99,18 @@ class SolveStats:
         decision, not a quantity to accumulate).
     """
 
-    model_builds: int = 0
-    solves: int = 0
-    warm_start_hits: int = 0
-    rebinds: int = 0
-    lp_chunks: int = 0
-    limit_solves: int = 0
-    worst_mip_gap: float = 0.0
-    build_time: float = 0.0
-    solve_time: float = 0.0
-    rebind_time: float = 0.0
-    lp_workers_requested: int = 0
-    lp_workers_effective: int = 0
+    model_builds: int = counter()
+    solves: int = counter()
+    warm_start_hits: int = counter()
+    rebinds: int = counter()
+    lp_chunks: int = counter()
+    limit_solves: int = counter(run_local=True)
+    worst_mip_gap: float = counter(0.0, MAX, run_local=True)
+    build_time: float = counter(0.0, run_local=True)
+    solve_time: float = counter(0.0, run_local=True)
+    rebind_time: float = counter(0.0, run_local=True)
+    lp_workers_requested: int = counter(0, MAX, run_local=True)
+    lp_workers_effective: int = counter(0, MAX, run_local=True)
 
     # -- combination ---------------------------------------------------------
     def merge(self, other: "SolveStats") -> "SolveStats":
@@ -116,39 +120,10 @@ class SolveStats:
         ``worst_mip_gap`` merge with ``max`` (a decision / a bound, not a
         quantity to accumulate across workers).
         """
-        self.model_builds += other.model_builds
-        self.solves += other.solves
-        self.warm_start_hits += other.warm_start_hits
-        self.rebinds += other.rebinds
-        self.lp_chunks += other.lp_chunks
-        self.limit_solves += other.limit_solves
-        self.worst_mip_gap = max(self.worst_mip_gap, other.worst_mip_gap)
-        self.build_time += other.build_time
-        self.solve_time += other.solve_time
-        self.rebind_time += other.rebind_time
-        self.lp_workers_requested = max(
-            self.lp_workers_requested, other.lp_workers_requested
-        )
-        self.lp_workers_effective = max(
-            self.lp_workers_effective, other.lp_workers_effective
-        )
-        return self
+        return counters.merge(self, counters.raw(other))
 
     def copy(self) -> "SolveStats":
-        return SolveStats(
-            model_builds=self.model_builds,
-            solves=self.solves,
-            warm_start_hits=self.warm_start_hits,
-            rebinds=self.rebinds,
-            lp_chunks=self.lp_chunks,
-            limit_solves=self.limit_solves,
-            worst_mip_gap=self.worst_mip_gap,
-            build_time=self.build_time,
-            solve_time=self.solve_time,
-            rebind_time=self.rebind_time,
-            lp_workers_requested=self.lp_workers_requested,
-            lp_workers_effective=self.lp_workers_effective,
-        )
+        return dataclasses.replace(self)
 
     @property
     def template_reuses(self) -> int:
@@ -161,20 +136,28 @@ class SolveStats:
         return max(0, self.solves - self.warm_start_hits)
 
     def as_dict(self) -> Dict[str, float]:
-        return {
-            "model_builds": self.model_builds,
-            "solves": self.solves,
-            "warm_start_hits": self.warm_start_hits,
-            "rebinds": self.rebinds,
-            "lp_chunks": self.lp_chunks,
-            "limit_solves": self.limit_solves,
-            "worst_mip_gap": self.worst_mip_gap,
-            "build_time": self.build_time,
-            "solve_time": self.solve_time,
-            "rebind_time": self.rebind_time,
-            "lp_workers_requested": self.lp_workers_requested,
-            "lp_workers_effective": self.lp_workers_effective,
-        }
+        return counters.raw(self)
+
+    def split(self) -> Tuple[Dict[str, float], Dict[str, float]]:
+        """``(deterministic, run_local)`` halves of :meth:`as_dict`.
+
+        Counts are deterministic functions of the configuration and belong
+        in hashed checkpoint payloads; wall clocks, limit outcomes, gaps and
+        the fan-out decision depend on the host and are run-local.
+        """
+        run_local = counters.names(SolveStats, run_local=True)
+        return counters.split(self.as_dict(), run_local)
+
+    @classmethod
+    def from_split(
+        cls, deterministic: Dict[str, float], run_local: Dict[str, float]
+    ) -> "SolveStats":
+        """Inverse of :meth:`split`; a counter in neither half reads as zero.
+
+        Other keys are ignored, so a stage may keep its own wall clocks in
+        the same dict as the run-local half.
+        """
+        return cls(**counters.read_wire(cls, {**run_local, **deterministic}))
 
 
 #: Process-global default sink.
@@ -195,18 +178,7 @@ def reset_solver_stats() -> None:
     Zeroes in place (never rebinds ``_GLOBAL``) so sinks captured by an
     active :func:`use_stats` scope keep pointing at the live record.
     """
-    _GLOBAL.model_builds = 0
-    _GLOBAL.solves = 0
-    _GLOBAL.warm_start_hits = 0
-    _GLOBAL.rebinds = 0
-    _GLOBAL.lp_chunks = 0
-    _GLOBAL.limit_solves = 0
-    _GLOBAL.worst_mip_gap = 0.0
-    _GLOBAL.build_time = 0.0
-    _GLOBAL.solve_time = 0.0
-    _GLOBAL.rebind_time = 0.0
-    _GLOBAL.lp_workers_requested = 0
-    _GLOBAL.lp_workers_effective = 0
+    counters.zero(_GLOBAL)
 
 
 @contextlib.contextmanager

@@ -208,6 +208,28 @@ class TestChunkedConfigResume:
             warm.stats.stage_checkpoint_hits
         )
 
+    def test_resumed_complete_stage_reports_the_lp_worker_decision(
+        self, machine, tmp_path
+    ):
+        """The fan-out decision is run-local, yet travels with the checkpoint."""
+        registry = ArtifactRegistry(tmp_path / "workers")
+        outcomes = []
+        for resume in (False, True):
+            palmed = Palmed(
+                PortModelBackend(machine),
+                machine.benchmarkable_instructions(),
+                self.chunked_config(),
+                registry=registry,
+                resume=resume,
+            )
+            palmed.run()
+            outcomes.append(palmed.last_run)
+        cold, resumed = (run.outputs["complete"].solver_stats for run in outcomes)
+        assert outcomes[1].checkpoint_hits["complete"]
+        assert cold.lp_workers_requested == 3
+        assert resumed.lp_workers_requested == cold.lp_workers_requested
+        assert resumed.lp_workers_effective == cold.lp_workers_effective
+
 
 class TestResultFidelity:
     """Restored intermediate results must round-trip structurally too."""
